@@ -24,10 +24,8 @@ func fingerprint(v Variant, k int, r *geom.Region, opts core.Options) string {
 	return Fingerprint(v, k, r, opts)
 }
 
-// Fingerprint is the canonical cache key shared by every serving layer:
-// sibling packages that cache engine Results (the cross-shard merge layer)
-// use it so one key format — and one canonicalization — covers the whole
-// serving stack.
+// Fingerprint is the canonical cache key shared by every serving layer: one
+// key format — and one canonicalization — covers the whole serving stack.
 func Fingerprint(v Variant, k int, r *geom.Region, opts core.Options) string {
 	hs := r.Halfspaces()
 	rows := make([][]byte, 0, len(hs))
@@ -143,13 +141,12 @@ type CacheEntry struct {
 	K      int
 }
 
-// ResultCache is the typed adapter every serving layer puts between itself
-// and the shared rescache subsystem: the Engine uses one internally, and the
-// cross-shard merge layer instantiates its own so both tiers get the same
-// cost-aware eviction, containment-based reuse, canonical Fingerprint keys,
-// and probe-then-evict invalidation protocol. It is not safe for concurrent
-// use; callers serialize access under their own mutex, exactly as Engine
-// does with its internal instance.
+// ResultCache is the typed adapter between a serving Front and the shared
+// rescache subsystem: every backend — the single-partition Engine and the
+// cross-shard merge layer — gets the same cost-aware eviction,
+// containment-based reuse, canonical Fingerprint keys, and probe-then-evict
+// invalidation protocol through its Front's instance. It is not safe for
+// concurrent use; the Front serializes access under its mutex.
 type ResultCache struct {
 	c *rescache.Cache
 }

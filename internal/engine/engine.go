@@ -11,9 +11,10 @@
 //     derives that k's own candidate list from the superset (a skyband of a
 //     skyband is the dataset's skyband, so this stays exact and never
 //     touches the full data again). Each query then filters its few
-//     thousand depth-relevant candidates with the tree-free sort-and-sweep
-//     (skyband.ScanGraph) instead of running branch-and-bound over the whole
-//     R-tree — the filter is the dominant share of cold-query latency, and
+//     thousand depth-relevant candidates with the tree-free columnar
+//     sort-and-sweep (skyband.ScanGraphWith over the sub-index's float32
+//     columns) instead of running branch-and-bound over the whole R-tree —
+//     the filter is the dominant share of cold-query latency, and
 //     skyband-shaped candidate sets defeat MBB pruning anyway.
 //  2. Incremental updates: Insert, Delete, and ApplyBatch maintain the
 //     skyband superset through a skyband.Dynamic (shadow-band repair with a
@@ -24,10 +25,10 @@
 //     that is r-dominated by at least k others throughout a cached region
 //     cannot appear in (or vanish from) any top-k set there, so that entry
 //     survives — rather than flushing the whole cache per update.
-//  3. A result cache (the shared rescache subsystem, also used by the
-//     cross-shard merge layer) keyed on a canonicalized (variant, k, region,
-//     ablation flags) fingerprint, with single-flight deduplication so
-//     concurrent identical queries compute once and share the result.
+//  3. A result cache (the shared rescache subsystem) keyed on a
+//     canonicalized (variant, k, region, ablation flags) fingerprint, with
+//     single-flight deduplication so concurrent identical queries compute
+//     once and share the result.
 //     Eviction is cost-aware — entries carry their measured recompute cost,
 //     so cheap UTK1 id-lists churn before expensive UTK2 partitionings —
 //     and an exact miss whose region lies inside a cached UTK2 region is
@@ -41,21 +42,20 @@
 //     (Request.Opts.Workers > 1) fan their refinement subtasks out on the
 //     same executor, and a configurable queue bound turns overload into
 //     ErrSaturated backpressure instead of unbounded queueing.
+//
+// Mechanisms 3 and 4, plus validation and the filter-and-refine step itself,
+// live in Front, the serving front shared with the cross-shard merge engine:
+// a backend supplies only its candidate views, its flight scope, its
+// supersede test, and its cache gate (see Backend).
 package engine
 
 import (
-	"context"
-	"encoding/binary"
 	"errors"
-	"math"
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/geom"
 	"repro/internal/rtree"
 	"repro/internal/skyband"
@@ -82,10 +82,6 @@ var (
 	// signal serving layers turn into 429 responses.
 	ErrSaturated = errors.New("engine: executor queue saturated")
 )
-
-// errAborted marks a flight whose leader gave up (context expiry) before the
-// computation finished; waiters react by electing a new leader.
-var errAborted = errors.New("engine: in-flight computation aborted")
 
 // Config tunes an Engine.
 type Config struct {
@@ -220,8 +216,9 @@ type Stats struct {
 	// admission policy refused. Exhaustions, Repairs, and RepairSteps are the
 	// dynamic skyband's coverage-maintenance counters (exhaustion fallbacks,
 	// completed incremental repairs, and the paced steps they ran);
-	// ShadowDepth is the current adaptive retention depth beyond MaxK, with
-	// ShadowGrows/ShadowShrinks counting its resizes.
+	// ShadowDepth is the current adaptive retention depth beyond MaxK (the
+	// deepest shard's when sharded), with ShadowGrows/ShadowShrinks counting
+	// its resizes.
 	CoalescedOps   uint64
 	AdmissionSkips uint64
 	Exhaustions    uint64
@@ -244,9 +241,11 @@ type Stats struct {
 	BandMaintenanceNS         uint64
 	BatchApplyOps             uint64
 	ParallelMaintenanceChunks uint64
-	// MaxK and Workers echo the effective configuration.
+	// MaxK and Workers echo the effective configuration. Shards is the
+	// number of horizontal partitions behind the engine (1 unsharded).
 	MaxK    int
 	Workers int
+	Shards  int
 }
 
 // UpdateKind discriminates UpdateOp.
@@ -266,19 +265,21 @@ type UpdateOp struct {
 	ID     int       // for UpdateDelete
 }
 
-// subIndex is the candidate list for one top-k depth: the classic k-skyband
+// SubIndex is the candidate list for one top-k depth: the classic k-skyband
 // members and their dataset ids, plus the columnar float32 layout the
 // interval prefilter's score kernel streams over. The columns are built once
-// when the sub-index is created (once per epoch per depth) and shared
-// read-only by every query against that snapshot.
-type subIndex struct {
+// when the sub-index is created (once per view per depth) and shared
+// read-only by every query against that view.
+type SubIndex struct {
 	recs [][]float64
 	ids  []int
 	cols *skyband.Columns
 }
 
-func newSubIndex(recs [][]float64, ids []int) *subIndex {
-	return &subIndex{recs: recs, ids: ids, cols: skyband.NewColumns(recs)}
+// NewSubIndex wraps parallel record/id slices, treated as immutable from
+// here on, into a sub-index.
+func NewSubIndex(recs [][]float64, ids []int) *SubIndex {
+	return &SubIndex{recs: recs, ids: ids, cols: skyband.NewColumns(recs)}
 }
 
 // index is one immutable-epoch view of the candidate lists. The superset
@@ -288,16 +289,16 @@ func newSubIndex(recs [][]float64, ids []int) *subIndex {
 // their epoch.
 type index struct {
 	epoch uint64
-	super *subIndex
+	super *SubIndex
 	mu    sync.Mutex
-	subs  map[int]*subIndex
+	subs  map[int]*SubIndex
 }
 
 // subFor returns the candidate list for depth k, deriving and caching it
 // from the superset on first use. Since the k-skyband of a k'-skyband
 // (k ≤ k') is the k-skyband of the underlying dataset, the derivation never
 // revisits the full data.
-func (ix *index) subFor(k, maxK int) *subIndex {
+func (ix *index) subFor(k, maxK int) *SubIndex {
 	if k == maxK {
 		return ix.super
 	}
@@ -314,31 +315,17 @@ func (ix *index) subFor(k, maxK int) *subIndex {
 		recs[i] = base.recs[idx]
 		dsIDs[i] = base.ids[idx]
 	}
-	s := newSubIndex(recs, dsIDs)
+	s := NewSubIndex(recs, dsIDs)
 	ix.subs[k] = s
 	return s
-}
-
-// flight is one in-progress computation that concurrent identical queries
-// rendezvous on.
-type flight struct {
-	done chan struct{}
-	res  *Result
-	err  error
 }
 
 // Engine serves UTK queries over one dataset and applies incremental
 // updates to it. It is safe for concurrent use.
 type Engine struct {
+	*Front // query serving; its mutex also guards the fields marked below
+
 	cfg Config
-	dim int
-
-	pool *exec.Pool // the executor: query dispatch + intra-query fan-out
-
-	// split is the engine's decomposition cost model: every parallel UTK2
-	// query calibrates it and consults it, so the piece count adapts to this
-	// dataset's candidate density on this machine. Safe for concurrent use.
-	split *core.SplitModel
 
 	// updMu serializes updates and guards dyn. Queries never take it: they
 	// read the epoch-versioned index snapshot below. It also guards the
@@ -361,27 +348,11 @@ type Engine struct {
 	// publish a fresh one with a bumped epoch.
 	idx atomic.Pointer[index]
 
-	mu            sync.Mutex
-	cache         *ResultCache
-	dynStats      skyband.DynamicStats // refreshed at the end of each batch
-	updating      int                  // open invalidation-probe windows; finish skips caching while > 0
-	inflight      map[string]*flight
-	queries       uint64
-	hits          uint64
-	misses        uint64
-	shared        uint64
-	derived       uint64
-	evicted       uint64
-	costEvicted   uint64
-	invalidations uint64
-	rejected      uint64
-	saturated     uint64
-	batches       uint64
-	coalesced     uint64
-	admSkips      uint64
-	probeBatches  uint64
-	probesSaved   uint64
-	active        int
+	// Guarded by Front.mu.
+	dynStats  skyband.DynamicStats // refreshed at the end of each batch
+	updating  int                  // open invalidation-probe windows; nothing is cached while > 0
+	batches   uint64
+	coalesced uint64
 }
 
 // New builds an engine over an indexed dataset. records must be the exact
@@ -398,20 +369,6 @@ func New(t *rtree.Tree, records [][]float64, cfg Config) (*Engine, error) {
 	if cfg.ShadowDepth < 1 {
 		cfg.ShadowDepth = cfg.MaxK
 	}
-	if cfg.Workers < 1 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	e := &Engine{
-		cfg:      cfg,
-		dim:      t.Dim(),
-		pool:     exec.NewPool(cfg.Workers, cfg.MaxQueued),
-		split:    &core.SplitModel{},
-		inflight: make(map[string]*flight),
-	}
-	e.commitCond = sync.NewCond(&e.commitMu)
-	if cfg.CacheEntries > 0 {
-		e.cache = NewResultCache(cfg.CacheEntries)
-	}
 	// The k-skyband at MaxK is the one region-independent superset of every
 	// r-skyband the engine can be asked for; the dynamic structure maintains
 	// it (plus its deletion-repair shadow) under updates. Seeding it with the
@@ -420,36 +377,66 @@ func New(t *rtree.Tree, records [][]float64, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	return assemble(cfg, t.Dim(), dyn, cfg.ShadowDepth, 0, 0), nil
+}
+
+// assemble wires an engine around its dynamic band structure — the one
+// construction tail New and Restore share. base is the adaptive shadow's base
+// depth; epoch and batches resume the index version and batch count.
+func assemble(cfg Config, dim int, dyn *skyband.Dynamic, base int, epoch, batches uint64) *Engine {
+	e := &Engine{cfg: cfg, dyn: dyn, reservedEpoch: epoch, batches: batches}
+	e.Front = NewFront(cfg, dim, (*engineBackend)(e))
+	e.commitCond = sync.NewCond(&e.commitMu)
 	// Streaming posture: repairs run chunked under deadline pacing instead of
 	// stalling one update on a monolithic reseed, and the shadow depth tracks
-	// the churn the workload actually applies.
+	// the churn the workload actually applies (EnableAdaptiveShadow keeps a
+	// restored depth even when it exceeds the base-derived ceiling).
 	dyn.EnableIncrementalRepair(0)
-	dyn.EnableAdaptiveShadow(cfg.ShadowDepth, 8*cfg.ShadowDepth)
+	dyn.EnableAdaptiveShadow(base, 8*base)
 	// Batch band maintenance fans its member pass over the query pool; the
 	// update lock serializes the calls, so workers only ever see read-only
 	// chunk tasks.
 	dyn.SetPool(e.pool)
-	e.dyn = dyn
 	e.dynStats = dyn.Stats()
 	ids, recs := dyn.Band()
-	e.idx.Store(bandIndex(0, ids, recs))
-	return e, nil
+	e.idx.Store(bandIndex(epoch, ids, recs))
+	return e
+}
+
+// engineBackend is the Engine seen as its Front's backend: a view pins one
+// immutable index snapshot, flights are scoped to its epoch, a refinement is
+// superseded once a newer snapshot is published, and results are cached only
+// outside every probe window and only if still current.
+type engineBackend Engine
+
+func (b *engineBackend) Pin() View {
+	ix := b.idx.Load()
+	return View{Scope: ix.epoch, ix: ix}
+}
+
+func (b *engineBackend) Candidates(v View, k int) (*SubIndex, uint64, error) {
+	return v.ix.subFor(k, b.cfg.MaxK), v.ix.epoch, nil
+}
+
+func (b *engineBackend) Superseded(v View) bool { return b.idx.Load() != v.ix }
+
+// Cacheable admits nothing while an update's probes are between their cache
+// snapshot and their eviction (the scan would miss the entry), and otherwise
+// only answers computed against the current epoch. Derived answers carry
+// their source's epoch; the Front's source-identity check stands in for the
+// epoch test there.
+func (b *engineBackend) Cacheable(_ View, res *Result) bool {
+	return b.updating == 0 && (res.Derived || res.Epoch == b.idx.Load().epoch)
 }
 
 // bandIndex wraps a band snapshot (parallel id/record slices, treated as
 // immutable from here on) into a new index at the given epoch.
 func bandIndex(epoch uint64, ids []int, recs [][]float64) *index {
-	return &index{epoch: epoch, super: newSubIndex(recs, ids), subs: map[int]*subIndex{}}
+	return &index{epoch: epoch, super: NewSubIndex(recs, ids), subs: map[int]*SubIndex{}}
 }
 
 // SupersetSize returns the current size of the candidate superset.
 func (e *Engine) SupersetSize() int { return len(e.idx.Load().super.ids) }
-
-// MaxK returns the largest supported top-k depth.
-func (e *Engine) MaxK() int { return e.cfg.MaxK }
-
-// Dim returns the data dimensionality.
-func (e *Engine) Dim() int { return e.dim }
 
 // Epoch returns the current index version.
 func (e *Engine) Epoch() uint64 { return e.idx.Load().epoch }
@@ -638,19 +625,8 @@ func (pb *pendingBatch) commit() { pb.once.Do(func() { pb.e.commitBatch(pb) }) }
 // beginBatch is stage one of a batch: everything that must see the dynamic
 // structure runs here, under updMu.
 func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
-	for _, op := range ops {
-		if op.Kind == UpdateInsert {
-			if len(op.Record) != e.dim {
-				return nil, ErrBadUpdate
-			}
-			for _, v := range op.Record {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return nil, ErrBadUpdate
-				}
-			}
-		} else if op.Kind != UpdateDelete {
-			return nil, ErrBadUpdate
-		}
+	if err := ValidateOps(ops, e.dim); err != nil {
+		return nil, err
 	}
 
 	e.updMu.Lock()
@@ -686,10 +662,6 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 		}
 	}
 
-	type pendingDelete struct {
-		id  int
-		rec []float64
-	}
 	// Deletes of starting-band records are the only deletes that can change a
 	// cached answer; the probe runs against the final band below. Membership
 	// is checked per id against the pre-apply state (this whole pass runs
@@ -698,11 +670,11 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 	// captured here too, since the batch path applies every op in one call.
 	// (A non-coalesced delete always targets a pre-batch id — a delete of an
 	// id this batch inserts is coalesced away — so the record is live here.)
-	var delProbes []pendingDelete
+	var delProbes [][]float64
 	if e.cache != nil {
 		for i, op := range ops {
 			if op.Kind == UpdateDelete && !coalesce[i] && e.dyn.InBand(op.ID) {
-				delProbes = append(delProbes, pendingDelete{id: op.ID, rec: e.dyn.Record(op.ID)})
+				delProbes = append(delProbes, e.dyn.Record(op.ID))
 			}
 		}
 	}
@@ -752,20 +724,7 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 		snapIDs, snapRecs = e.dyn.Band()
 	}
 	if e.cache != nil {
-		// Net inserts that made the final band: probe excluding the record
-		// itself (other batch inserts are live post-batch and may count).
-		if len(batchInserted) > 0 {
-			for i, id := range snapIDs {
-				if batchInserted[id] && !deleted[id] {
-					tests = append(tests, affectsTest{rec: snapRecs[i], exclude: id, recs: snapRecs, ids: snapIDs})
-				}
-			}
-		}
-		// Net deletes from the starting band: probe excluding every
-		// batch-inserted id (those were not live pre-batch).
-		for _, p := range delProbes {
-			tests = append(tests, affectsTest{rec: p.rec, exclude: -1, excludeSet: batchInserted, recs: snapRecs, ids: snapIDs})
-		}
+		tests = batchTests(snapIDs, snapRecs, batchInserted, deleted, delProbes)
 	}
 
 	// Stage-one handoff. The cache-entry snapshot and `updating` raise still
@@ -812,7 +771,7 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 //     published, so those answers are simply "before the update".
 //  3. Under mu, evict the affected keys and only then publish the new epoch:
 //     no query can observe the new epoch while a stale entry is still
-//     hittable, and entries cached after publication pass finish's
+//     hittable, and entries cached after publication pass the cache gate's
 //     current-epoch check, i.e. reflect this batch.
 //
 // The commit turnstile runs step 3 in begin (ticket) order, so when batches
@@ -829,15 +788,7 @@ func (e *Engine) commitBatch(pb *pendingBatch) {
 	e.batches++
 	e.coalesced += pb.coalesced
 	e.dynStats = pb.dynStats
-	if groups > 0 {
-		e.probeBatches++
-		e.probesSaved += uint64(len(pb.entries)-groups) * uint64(len(pb.tests))
-	}
-	if len(affected) > 0 {
-		// InvalidateKeys (not EvictKeys) so the admission policy learns which
-		// classes this update stream keeps killing.
-		e.invalidations += uint64(e.cache.InvalidateKeys(affected))
-	}
+	e.evictLocked(affected, groups, len(pb.entries), len(pb.tests))
 	if pb.fresh != nil {
 		e.idx.Store(pb.fresh)
 	}
@@ -848,6 +799,27 @@ func (e *Engine) commitBatch(pb *pendingBatch) {
 	e.lastCommitted = pb.ticket
 	e.commitCond.Broadcast()
 	e.commitMu.Unlock()
+}
+
+// batchTests classifies a batch's net deltas into invalidation probes over
+// the post-batch band snapshot (ids, recs), one affectsTest each: every band
+// member the batch inserted and did not delete probes excluding only itself
+// (other batch inserts are live post-batch and may count), and every
+// starting-band delete (delRecs) probes excluding every id the batch
+// inserted (those were not live pre-batch).
+func batchTests(ids []int, recs [][]float64, inserted, deleted map[int]bool, delRecs [][]float64) []affectsTest {
+	var tests []affectsTest
+	if len(inserted) > 0 {
+		for i, id := range ids {
+			if inserted[id] && !deleted[id] {
+				tests = append(tests, affectsTest{rec: recs[i], exclude: id, recs: recs, ids: ids})
+			}
+		}
+	}
+	for _, rec := range delRecs {
+		tests = append(tests, affectsTest{rec: rec, exclude: -1, excludeSet: inserted, recs: recs, ids: ids})
+	}
+	return tests
 }
 
 // probeGroup is one batched invalidation probe: the cache entries that share
@@ -931,188 +903,6 @@ func batchAffects(tests []affectsTest, r *geom.Region, k int, counts []int) bool
 	return true
 }
 
-// Do answers one request, consulting the cache, deduplicating against
-// identical in-flight queries, and otherwise computing on a pooled worker.
-func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
-	if err := e.validate(req); err != nil {
-		return nil, err
-	}
-	if e.cfg.QueryTimeout > 0 {
-		if _, ok := ctx.Deadline(); !ok {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, e.cfg.QueryTimeout)
-			defer cancel()
-		}
-	}
-	key := fingerprint(req.Variant, req.K, req.Region, req.Opts)
-
-	// A leader whose snapshot is superseded mid-refinement abandons its
-	// flight and re-enters the election below, so identical queries at the
-	// fresh epoch coalesce onto one new computation. The retry budget
-	// guards the no-deadline case against update storms: once exhausted,
-	// the refinement runs to completion on whatever snapshot it has.
-	supersedeRetries := 3
-	derivedTried := false
-	for {
-		// Election: answer from the cache, join an identical in-flight
-		// computation, or become the leader for the current epoch. Flights
-		// are scoped to an epoch so late arrivals never coalesce onto a
-		// computation over a superseded candidate index; the cache key is
-		// epoch-free because precise invalidation keeps surviving entries
-		// exact across epochs.
-		// One idx load serves both the flight key and the computation, so a
-		// flight is always keyed to the epoch its leader actually computes
-		// against — an update landing in between makes the supersede hook
-		// fire on the first poll and the leader re-elect, rather than
-		// computing the new epoch's answer outside its single-flight group.
-		var fl *flight
-		var flKey string
-		var ix *index
-		for fl == nil {
-			ix = e.idx.Load()
-			flKey = flightKey(ix.epoch, key)
-			e.mu.Lock()
-			if e.cache != nil {
-				if res, ok := e.cache.Get(key); ok {
-					e.hits++
-					e.queries++
-					e.mu.Unlock()
-					hit := *res
-					hit.CacheHit = true
-					return &hit, nil
-				}
-				// Derived-answer fast path, before pool dispatch: an exact
-				// miss whose region sits inside a cached UTK2 region is
-				// answered by cell clipping — no worker slot, no flight, no
-				// RSA/JAA work. The source was resident under the mutex, so
-				// the answer is at worst a consistent pre-update state (the
-				// same guarantee exact hits and flight waiters get); caching
-				// it is gated below on the source surviving the clipping
-				// window untouched.
-				if !derivedTried {
-					if src, srcKey, ok := e.cache.FindContaining(req); ok {
-						e.mu.Unlock()
-						derivedTried = true
-						if res := DeriveClipped(req, src); res != nil {
-							e.mu.Lock()
-							e.derived++
-							e.queries++
-							// Cache the derived entry only if no invalidation
-							// probe window is open and the source is still the
-							// resident entry (pointer identity): a surviving
-							// source's probe certificate covers every region
-							// it contains, so the derived answer is exact for
-							// the current dataset.
-							if e.updating == 0 {
-								if cur, ok := e.cache.Peek(srcKey); ok && cur == src {
-									adm, ev, costly := e.cache.Add(key, req, res)
-									if !adm {
-										e.admSkips++
-									}
-									if ev {
-										e.evicted++
-									}
-									if costly {
-										e.costEvicted++
-									}
-								}
-							}
-							e.mu.Unlock()
-							hit := *res
-							hit.CacheHit = true
-							return &hit, nil
-						}
-						continue // defensive: derivation failed, compute instead
-					}
-				}
-			}
-			if other, ok := e.inflight[flKey]; ok {
-				e.mu.Unlock()
-				res, err := e.wait(ctx, other)
-				if errors.Is(err, errAborted) {
-					continue // the leader never finished; elect a new leader
-				}
-				return res, err
-			}
-			fl = &flight{done: make(chan struct{})}
-			e.inflight[flKey] = fl
-			e.mu.Unlock()
-		}
-
-		// Dispatch through the executor. Run rejects immediately at the
-		// queue bound (saturation → backpressure) and revokes the task if
-		// the context dies while it is still queued; once the computation
-		// has started, the deadline is honored from inside via the Cancel
-		// hook.
-		var res *Result
-		var err error
-		runErr := e.pool.Run(ctx, func() {
-			e.mu.Lock()
-			e.active++
-			e.mu.Unlock()
-			res, err = e.compute(ctx, req, ix, supersedeRetries > 0)
-			e.mu.Lock()
-			e.active--
-			e.mu.Unlock()
-		})
-		if runErr != nil {
-			e.finish(flKey, key, fl, nil, errAborted, req)
-			e.mu.Lock()
-			if errors.Is(runErr, exec.ErrSaturated) {
-				e.saturated++
-				runErr = ErrSaturated
-			} else {
-				e.rejected++
-			}
-			e.mu.Unlock()
-			return nil, runErr
-		}
-
-		if errors.Is(err, core.ErrCanceled) {
-			// Either way the waiters re-elect rather than inheriting this
-			// leader's fate.
-			e.finish(flKey, key, fl, nil, errAborted, req)
-			if ctx.Err() == nil && e.idx.Load() != ix {
-				supersedeRetries--
-				continue // superseded: re-elect at the fresh epoch
-			}
-			err = ctx.Err()
-			if err == nil {
-				// Defensive: a cancel verdict with a live context and a
-				// current snapshot should not happen.
-				err = core.ErrCanceled
-			}
-			e.mu.Lock()
-			e.rejected++
-			e.mu.Unlock()
-			return nil, err
-		}
-		e.finish(flKey, key, fl, res, err, req)
-		e.mu.Lock()
-		e.misses++
-		e.queries++
-		e.mu.Unlock()
-		return res, err
-	}
-}
-
-// DoBatch answers a batch of requests concurrently (bounded by the worker
-// pool), returning one result or error per request, index-aligned.
-func (e *Engine) DoBatch(ctx context.Context, reqs []Request) ([]*Result, []error) {
-	results := make([]*Result, len(reqs))
-	errs := make([]error, len(reqs))
-	var wg sync.WaitGroup
-	for i, req := range reqs {
-		wg.Add(1)
-		go func(i int, req Request) {
-			defer wg.Done()
-			results[i], errs[i] = e.Do(ctx, req)
-		}(i, req)
-	}
-	wg.Wait()
-	return results, errs
-}
-
 // Stats returns a snapshot of the engine counters. The dynamic-skyband
 // counters reflect the last completed update batch — Stats never waits on an
 // in-progress update (in particular not on a shadow-exhaustion rebuild), so
@@ -1120,176 +910,31 @@ func (e *Engine) DoBatch(ctx context.Context, reqs []Request) ([]*Result, []erro
 func (e *Engine) Stats() Stats {
 	epoch := e.idx.Load().epoch
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	st := e.statsLocked()
 	ds := e.dynStats
-	st := Stats{
-		Queries:         e.queries,
-		Hits:            e.hits,
-		Misses:          e.misses,
-		Shared:          e.shared,
-		DerivedHits:     e.derived,
-		Evictions:       e.evicted,
-		CostEvictions:   e.costEvicted,
-		Invalidations:   e.invalidations,
-		Rejected:        e.rejected,
-		Saturated:       e.saturated,
-		InFlight:        e.active,
-		Queued:          e.pool.Queued(),
-		Epoch:           epoch,
-		Live:            ds.Live,
-		SupersetSize:    ds.Band,
-		ShadowSize:      ds.Shadow,
-		Coverage:        ds.Coverage,
-		Inserts:         ds.Inserts,
-		Deletes:         ds.Deletes,
-		UpdateBatches:   e.batches,
-		Promotions:      ds.Promotions,
-		Demotions:       ds.Demotions,
-		ShadowEvictions: ds.Evictions,
-		Rebuilds:        ds.Rebuilds,
-		CoalescedOps:    e.coalesced,
-		AdmissionSkips:  e.admSkips,
-		ProbeBatches:    e.probeBatches,
-		ProbesSaved:     e.probesSaved,
-		Exhaustions:     ds.Exhaustions,
-		Repairs:         ds.Repairs,
-		RepairSteps:     ds.RepairSteps,
-		ShadowDepth:     ds.ShadowDepth,
-		ShadowGrows:     ds.ShadowGrows,
-		ShadowShrinks:   ds.ShadowShrinks,
-
-		BandMaintenanceNS:         ds.BandMaintenanceNS,
-		BatchApplyOps:             ds.BatchApplyOps,
-		ParallelMaintenanceChunks: ds.ParallelMaintenanceChunks,
-
-		MaxK:    e.cfg.MaxK,
-		Workers: e.cfg.Workers,
-	}
-	if e.cache != nil {
-		st.CacheEntries = e.cache.Len()
-	}
+	st.UpdateBatches = e.batches
+	st.CoalescedOps = e.coalesced
+	e.mu.Unlock()
+	st.Epoch = epoch
+	st.Shards = 1
+	st.Live = ds.Live
+	st.SupersetSize = ds.Band
+	st.ShadowSize = ds.Shadow
+	st.Coverage = ds.Coverage
+	st.Inserts = ds.Inserts
+	st.Deletes = ds.Deletes
+	st.Promotions = ds.Promotions
+	st.Demotions = ds.Demotions
+	st.ShadowEvictions = ds.Evictions
+	st.Rebuilds = ds.Rebuilds
+	st.Exhaustions = ds.Exhaustions
+	st.Repairs = ds.Repairs
+	st.RepairSteps = ds.RepairSteps
+	st.ShadowDepth = ds.ShadowDepth
+	st.ShadowGrows = ds.ShadowGrows
+	st.ShadowShrinks = ds.ShadowShrinks
+	st.BandMaintenanceNS = ds.BandMaintenanceNS
+	st.BatchApplyOps = ds.BatchApplyOps
+	st.ParallelMaintenanceChunks = ds.ParallelMaintenanceChunks
 	return st
-}
-
-func (e *Engine) validate(req Request) error {
-	if req.K <= 0 {
-		return core.ErrBadK
-	}
-	if req.K > e.cfg.MaxK {
-		return ErrKTooLarge
-	}
-	if req.Region == nil {
-		return ErrNilRegion
-	}
-	if req.Region.Dim() != e.dim-1 {
-		return core.ErrDimMismatch
-	}
-	return nil
-}
-
-// compute is the warm query path: rebuild only the region-specific
-// r-dominance graph, filtering over the maintained superset snapshot instead
-// of the whole dataset, then refine. When abortOnSupersede is set, the
-// refinement is additionally canceled as soon as the snapshot is superseded
-// by an update (Do then retries on the fresh one).
-func (e *Engine) compute(ctx context.Context, req Request, ix *index, abortOnSupersede bool) (*Result, error) {
-	st := &core.Stats{}
-	opts := req.Opts
-	// Intra-query parallelism (Opts.Workers > 1) fans out on the engine's
-	// own executor, so inter-query and intra-query concurrency share one
-	// worker budget; decomposed queries share the engine's split cost model.
-	opts.Pool = e.pool
-	opts.Split = e.split
-	done := ctx.Done()
-	opts.Cancel = func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-		}
-		return abortOnSupersede && e.idx.Load() != ix
-	}
-	start := time.Now()
-	sub := ix.subFor(req.K, e.cfg.MaxK)
-	g := skyband.ScanGraphWith(sub.cols, sub.recs, sub.ids, req.Region, req.K)
-	st.FilterDuration = time.Since(start)
-	res := &Result{Epoch: ix.epoch}
-	switch req.Variant {
-	case UTK1:
-		ids, err := core.RSAFromGraph(g, req.Region, req.K, opts, st)
-		if err != nil {
-			return nil, err
-		}
-		sort.Ints(ids)
-		res.IDs = ids
-	case UTK2:
-		cells, err := core.JAAFromGraph(g, req.Region, req.K, opts, st)
-		if err != nil {
-			return nil, err
-		}
-		res.Cells = cells
-	default:
-		return nil, errors.New("engine: unknown variant")
-	}
-	res.Stats = *st
-	// The measured end-to-end compute time is the entry's recompute cost:
-	// what the cache would lose by evicting it.
-	res.Cost = st.FilterDuration + st.RefineDuration
-	return res, nil
-}
-
-// finish publishes the flight outcome, caches fresh successes, and wakes
-// waiters. Results computed against a superseded snapshot are served to
-// their waiters (they observed a consistent pre-update state) but never
-// cached, and nothing is cached while an update's invalidation probes are
-// between their cache snapshot and their eviction — either way the scan
-// would not see the entry.
-func (e *Engine) finish(flKey, key string, fl *flight, res *Result, err error, req Request) {
-	fl.res, fl.err = res, err
-	e.mu.Lock()
-	delete(e.inflight, flKey)
-	if err == nil && e.cache != nil && e.updating == 0 && res.Epoch == e.idx.Load().epoch {
-		adm, ev, costly := e.cache.Add(key, req, res)
-		if !adm {
-			e.admSkips++
-		}
-		if ev {
-			e.evicted++
-		}
-		if costly {
-			e.costEvicted++
-		}
-	}
-	e.mu.Unlock()
-	close(fl.done)
-}
-
-// wait blocks until the deduplicated computation resolves or the caller's
-// context expires.
-func (e *Engine) wait(ctx context.Context, fl *flight) (*Result, error) {
-	select {
-	case <-fl.done:
-	case <-ctx.Done():
-		e.mu.Lock()
-		e.rejected++
-		e.mu.Unlock()
-		return nil, ctx.Err()
-	}
-	if errors.Is(fl.err, errAborted) {
-		// Not an outcome: the caller re-elects a leader and will be counted
-		// by whatever path finally serves it.
-		return nil, fl.err
-	}
-	e.mu.Lock()
-	e.shared++
-	e.queries++
-	e.mu.Unlock()
-	return fl.res, fl.err
-}
-
-// flightKey scopes a cache fingerprint to an index epoch.
-func flightKey(epoch uint64, key string) string {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], epoch)
-	return string(b[:]) + key
 }

@@ -2,10 +2,7 @@ package engine
 
 import (
 	"errors"
-	"runtime"
-	"sync"
 
-	"repro/internal/exec"
 	"repro/internal/skyband"
 )
 
@@ -76,34 +73,9 @@ func Restore(st *State, cfg Config) (*Engine, error) {
 		base = cfg.MaxK
 	}
 	cfg.ShadowDepth = st.Dyn.ShadowDepth
-	if cfg.Workers < 1 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	dyn, err := skyband.RestoreDynamic(st.Dyn)
 	if err != nil {
 		return nil, err
 	}
-	// Same streaming posture as New: chunked repair plus adaptive shadow
-	// (EnableAdaptiveShadow keeps the restored depth even when it exceeds the
-	// base-derived ceiling).
-	dyn.EnableIncrementalRepair(0)
-	dyn.EnableAdaptiveShadow(base, 8*base)
-	e := &Engine{
-		cfg:           cfg,
-		dim:           st.Dim,
-		pool:          exec.NewPool(cfg.Workers, cfg.MaxQueued),
-		inflight:      make(map[string]*flight),
-		dyn:           dyn,
-		batches:       st.Batches,
-		reservedEpoch: st.Epoch,
-	}
-	e.commitCond = sync.NewCond(&e.commitMu)
-	dyn.SetPool(e.pool)
-	if cfg.CacheEntries > 0 {
-		e.cache = NewResultCache(cfg.CacheEntries)
-	}
-	e.dynStats = dyn.Stats()
-	ids, recs := dyn.Band()
-	e.idx.Store(bandIndex(st.Epoch, ids, recs))
-	return e, nil
+	return assemble(cfg, st.Dim, dyn, base, st.Epoch, st.Batches), nil
 }

@@ -10,8 +10,7 @@
 // therefore a valid candidate superset for any query region — and because
 // exclusion during region-aware filtering only ever relies on k genuine
 // r-dominators, which are real records wherever they live, running the
-// existing exact filter (skyband.ScanGraph) and refinement
-// (core.RSAFromGraph / core.JAAFromGraph) over the union reproduces the
+// existing exact filter and refinement over the union reproduces the
 // single-engine answer bit for bit. No per-shard refinement results are
 // combined — cross-shard merging of UTK2 partitionings would require
 // intersecting two arrangements and is not exact cell-by-cell — only
@@ -20,39 +19,33 @@
 // Each child engine maintains its shard's skyband superset incrementally
 // (per-shard caches of depth-derived candidate lists are reused as superset
 // providers via engine.Candidates), so a dynamic insert or delete routes to
-// the owning shard and recomputes only that shard's band. The merge layer
-// adds its own result cache — the same shared rescache subsystem the
-// single-partition engine uses, under the engine's canonical fingerprint
-// keys — so cost-aware eviction and containment-based reuse (cell clipping
-// via engine.DeriveClipped) apply to sharded serving for free, with the same
-// batch-aware precise invalidation protocol, run against the union band.
+// the owning shard and recomputes only that shard's band. Queries are served
+// by the same engine.Front the single-partition engine uses — validation,
+// result cache with containment derive, single-flight, executor dispatch,
+// the columnar filter (skyband.ScanGraphWith) and the RSA/JAA refinement —
+// with this package supplying only the merged candidate index, the flight
+// scope and the cache gate (see frontBackend). Invalidation runs the
+// engine's batch probes against the union band.
 //
 // Consistency: updates are serialized and atomic per shard. A query
 // concurrent with a multi-shard batch may observe a state where only a
 // prefix of the batch's per-shard sub-batches has applied (each shard's view
 // is still internally consistent, and single-shard batches — every Insert
-// and Delete — remain fully atomic). Results computed across an epoch change
-// are never cached, and single-flight sharing is keyed to the update seqlock
-// observed at election, so a query issued after ApplyBatch returns never
-// inherits a pre-batch in-flight answer (read-your-writes).
+// and Delete — remain fully atomic). Results computed across an update
+// window are never cached, and single-flight sharing is keyed to the update
+// seqlock observed at election, so a query issued after ApplyBatch returns
+// never inherits a pre-batch in-flight answer (read-your-writes).
 package shard
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/exec"
-	"repro/internal/geom"
 	"repro/internal/rtree"
 	"repro/internal/skyband"
 )
@@ -64,6 +57,10 @@ var (
 	// ErrTooFewRecords reports fewer initial records than shards.
 	ErrTooFewRecords = errors.New("shard: every shard needs at least one initial record")
 )
+
+// errDrift reports a shard whose epoch moved while a merged candidate list
+// was being collected for an older epoch vector.
+var errDrift = errors.New("shard: epoch drifted mid-collection")
 
 // Config tunes a sharded engine.
 type Config struct {
@@ -87,12 +84,11 @@ type place struct {
 // the same request/update API as engine.Engine, with global record ids. It
 // is safe for concurrent use.
 type Engine struct {
+	*engine.Front // query serving over the merged candidate index
+
 	cfg Config
-	dim int
 
 	shards []*engine.Engine
-
-	pool *exec.Pool // merge-layer executor: query dispatch + per-child fan-out
 
 	// updMu serializes updates; it also guards nextGlobal/nextShard and the
 	// owner table's writers.
@@ -100,6 +96,7 @@ type Engine struct {
 	owner      map[int]place
 	nextGlobal int
 	nextShard  int
+	batches    atomic.Uint64
 
 	// routeMu guards localToGlobal: per shard, the global id assigned to
 	// each local id, indexed by local id. Entries are append-only — a local
@@ -109,57 +106,26 @@ type Engine struct {
 	localToGlobal [][]int
 
 	// seq is the update seqlock: odd while an ApplyBatch is mutating shards
-	// or probing the cache. A query only caches its result if seq was even
-	// and unchanged across its whole computation, so answers computed over a
-	// partially applied multi-shard batch — or raced against the probe
-	// window — are served but never cached.
+	// or probing the cache. It scopes flights and gates caching (see
+	// frontBackend).
 	seq atomic.Uint64
 
 	// merged caches the cross-shard candidate index for the current
 	// per-shard epoch vector; queries CAS in a fresh one when any shard's
 	// epoch moves. See mergedIndex.
 	merged atomic.Pointer[mergedIndex]
-
-	mu            sync.Mutex
-	cache         *engine.ResultCache
-	inflight      map[string]*flight
-	queries       uint64
-	hits          uint64
-	misses        uint64
-	shared        uint64
-	derived       uint64
-	evicted       uint64
-	costEvicted   uint64
-	invalidations uint64
-	rejected      uint64
-	saturated     uint64
-	batches       uint64
-	admSkips      uint64
-	probeBatches  uint64
-	probesSaved   uint64
-	active        int
 }
 
-// flight is one in-progress merge computation that concurrent identical
-// queries rendezvous on instead of each re-running the filter+refinement.
-type flight struct {
-	done chan struct{}
-	res  *engine.Result
-	err  error
-}
-
-// errAborted marks a flight whose leader gave up (context expiry) before the
-// computation finished; waiters react by electing a new leader.
-var errAborted = errors.New("shard: in-flight computation aborted")
-
-// flightKey scopes a request fingerprint to the seqlock value observed at
-// flight election. The seqlock advances by two across every applied batch, so
-// a query that starts after a batch acks elects under a fresh key and cannot
-// adopt a pre-batch leader's answer (read-your-writes across ApplyBatch).
-func flightKey(seq uint64, key string) string {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], seq)
-	return string(b[:]) + key
+// childConfig derives the child engines' configuration from the sharded
+// one: children never serve Do, so result caching, backpressure and query
+// deadlines belong to the merge layer, and each child keeps a one-worker
+// pool for its own band maintenance.
+func childConfig(cfg engine.Config) engine.Config {
+	cfg.CacheEntries = 0
+	cfg.Workers = 1
+	cfg.MaxQueued = 0
+	cfg.QueryTimeout = 0
+	return cfg
 }
 
 // New builds a sharded engine over the records, assigning global ids 0..n-1
@@ -183,7 +149,6 @@ func New(records [][]float64, cfg Config) (*Engine, error) {
 		localToGlobal: make([][]int, cfg.Shards),
 		nextGlobal:    len(records),
 		nextShard:     len(records) % cfg.Shards,
-		inflight:      make(map[string]*flight),
 	}
 	parts := make([][][]float64, cfg.Shards)
 	for g, rec := range records {
@@ -192,39 +157,23 @@ func New(records [][]float64, cfg Config) (*Engine, error) {
 		s.localToGlobal[sh] = append(s.localToGlobal[sh], g)
 		parts[sh] = append(parts[sh], rec)
 	}
-	childCfg := cfg.Engine
-	childCfg.CacheEntries = 0 // children never serve Do; the merge layer caches
-	childCfg.Workers = 1
-	childCfg.MaxQueued = 0 // backpressure belongs to the merge layer's executor
-	childCfg.QueryTimeout = 0
 	for sh, part := range parts {
 		tree, err := rtree.BulkLoad(part, rtree.DefaultFanout)
 		if err != nil {
 			return nil, err
 		}
-		child, err := engine.New(tree, part, childCfg)
+		child, err := engine.New(tree, part, childConfig(cfg.Engine))
 		if err != nil {
 			return nil, err
 		}
 		s.shards[sh] = child
 	}
-	s.dim = s.shards[0].Dim()
-	workers := cfg.Engine.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	s.pool = exec.NewPool(workers, cfg.Engine.MaxQueued)
-	if cfg.Engine.CacheEntries > 0 {
-		s.cache = engine.NewResultCache(cfg.Engine.CacheEntries)
-	}
+	s.Front = engine.NewFront(cfg.Engine, s.shards[0].Dim(), (*frontBackend)(s))
 	return s, nil
 }
 
 // Shards returns the number of partitions.
 func (s *Engine) Shards() int { return len(s.shards) }
-
-// MaxK returns the largest supported top-k depth.
-func (s *Engine) MaxK() int { return s.cfg.Engine.MaxK }
 
 // Epoch returns the sum of the per-shard index versions — a version counter
 // for the sharded dataset as a whole, advancing whenever any shard's
@@ -275,19 +224,8 @@ type opPlan struct {
 // index-aligned with ops. See the package comment for the cross-shard
 // consistency guarantee.
 func (s *Engine) ApplyBatch(ops []engine.UpdateOp) (*engine.UpdateResult, error) {
-	for _, op := range ops {
-		if op.Kind == engine.UpdateInsert {
-			if len(op.Record) != s.dim {
-				return nil, engine.ErrBadUpdate
-			}
-			for _, v := range op.Record {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return nil, engine.ErrBadUpdate
-				}
-			}
-		} else if op.Kind != engine.UpdateDelete {
-			return nil, engine.ErrBadUpdate
-		}
+	if err := engine.ValidateOps(ops, s.Dim()); err != nil {
+		return nil, err
 	}
 
 	s.updMu.Lock()
@@ -332,10 +270,10 @@ func (s *Engine) ApplyBatch(ops []engine.UpdateOp) (*engine.UpdateResult, error)
 		subOps[p.shard] = append(subOps[p.shard], engine.UpdateOp{Kind: engine.UpdateDelete, ID: p.local})
 	}
 
-	// Probe prep, before anything applies: record vectors of net deletes and
-	// per-shard starting-band membership (see invalidate).
-	var delProbes []mergeProbe
-	probing := s.cache != nil
+	// Probe prep, before anything applies: record vectors of net deletes
+	// that leave their shard's starting band (see engine's affectsTest).
+	var delRecs [][]float64
+	probing := s.cfg.Engine.CacheEntries > 0
 	if probing {
 		startBand := make([]map[int]bool, len(s.shards))
 		for i, op := range ops {
@@ -367,7 +305,7 @@ func (s *Engine) ApplyBatch(ops []engine.UpdateOp) (*engine.UpdateResult, error)
 			if !ok {
 				return nil, engine.ErrUnknownRecord // unreachable after validation
 			}
-			delProbes = append(delProbes, mergeProbe{rec: rec, exclude: -1})
+			delRecs = append(delRecs, rec)
 		}
 	}
 
@@ -415,9 +353,20 @@ func (s *Engine) ApplyBatch(ops []engine.UpdateOp) (*engine.UpdateResult, error)
 	}
 	s.nextGlobal, s.nextShard = nextGlobal, nextShard
 
+	// Invalidate against the post-batch union band: the per-shard MaxK
+	// candidate lists hold every member of the global MaxK-skyband, so the
+	// engine's probe soundness argument carries over with global ids.
 	postEpoch := s.Epoch()
 	if probing && postEpoch != preEpoch {
-		s.invalidate(inserted, deleted, delProbes)
+		ids, recs, _, err := s.union(s.cfg.Engine.MaxK, nil)
+		if err != nil {
+			return nil, err // unreachable: MaxK is always a valid depth
+		}
+		insertedSet := make(map[int]bool, len(inserted))
+		for g := range inserted {
+			insertedSet[g] = true
+		}
+		s.Invalidate(ids, recs, insertedSet, deleted, delRecs)
 	}
 
 	ids := make([]int, len(ops))
@@ -431,9 +380,7 @@ func (s *Engine) ApplyBatch(ops []engine.UpdateOp) (*engine.UpdateResult, error)
 		superset += st.SupersetSize
 		shadow += st.ShadowSize
 	}
-	s.mu.Lock()
-	s.batches++
-	s.mu.Unlock()
+	s.batches.Add(1)
 	return &engine.UpdateResult{
 		IDs:          ids,
 		Epoch:        postEpoch,
@@ -456,177 +403,6 @@ func (s *Engine) ApplyBatchPipelined(ops []engine.UpdateOp) (*engine.UpdateResul
 	return res, func() {}, nil
 }
 
-// mergeProbe is one updated record awaiting the batch's shared invalidation
-// probe against the post-batch union band — the cross-shard analogue of the
-// engine's affectsTest, under the same per-batch soundness argument: a
-// cached (region, k) entry survives iff at least k counted union-band
-// members r-dominate the record throughout the region. For a net insert the
-// counted members exclude the record itself (everything else in the union
-// band is live post-batch); for a net delete they exclude every id the batch
-// inserted (the rest were live pre-batch).
-type mergeProbe struct {
-	rec        []float64
-	exclude    int          // global id to skip, or -1
-	excludeSet map[int]bool // batch-inserted global ids to skip, or nil
-}
-
-func (p *mergeProbe) affects(r *geom.Region, k int, ids []int, recs [][]float64) bool {
-	cnt := 0
-	for i, m := range recs {
-		id := ids[i]
-		if id == p.exclude || p.excludeSet[id] {
-			continue
-		}
-		if skyband.RDominates(m, p.rec, r) {
-			cnt++
-			if cnt >= k {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// invalidate runs the batch's probes against the post-batch union band and
-// evicts the affected cache entries. The window between the entry snapshot
-// and the eviction is bridged by the seqlock (still odd here): results
-// finishing meanwhile are served but not cached, so no stale entry can slip
-// in behind the scan. As in the single-partition engine, entries are grouped
-// by their keys' (region, k) projection — the only coordinates a probe
-// verdict depends on — so each distinct shape is probed once per batch, not
-// once per resident entry.
-func (s *Engine) invalidate(inserted map[int]place, deleted map[int]bool, delProbes []mergeProbe) {
-	s.mu.Lock()
-	entries := s.cache.Snapshot()
-	s.mu.Unlock()
-
-	unionIDs, unionRecs := s.unionBand()
-	pos := make(map[int]int, len(unionIDs))
-	for i, g := range unionIDs {
-		pos[g] = i
-	}
-	insertedSet := make(map[int]bool, len(inserted))
-	for g := range inserted {
-		insertedSet[g] = true
-	}
-	var probes []mergeProbe
-	for g := range inserted {
-		if deleted[g] {
-			continue // transient
-		}
-		i, inBand := pos[g]
-		if !inBand {
-			// Outside its shard's final band means at least MaxK dominators
-			// post-batch: the newcomer joins no top-k set.
-			continue
-		}
-		probes = append(probes, mergeProbe{rec: unionRecs[i], exclude: g})
-	}
-	for _, p := range delProbes {
-		p.excludeSet = insertedSet
-		probes = append(probes, p)
-	}
-	if len(probes) == 0 || len(entries) == 0 {
-		return
-	}
-
-	type probeGroup struct {
-		region *geom.Region
-		k      int
-		keys   []string
-	}
-	byShape := make(map[string]*probeGroup, len(entries))
-	order := make([]*probeGroup, 0, len(entries))
-	for _, ent := range entries {
-		gid := engine.ProbeGroupID(ent.Key)
-		g := byShape[gid]
-		if g == nil {
-			g = &probeGroup{region: ent.Region, k: ent.K}
-			byShape[gid] = g
-			order = append(order, g)
-		}
-		g.keys = append(g.keys, ent.Key)
-	}
-	var affected []string
-	counts := make([]int, len(probes))
-	for _, g := range order {
-		if batchMergeAffects(probes, g.region, g.k, unionIDs, unionRecs, counts) {
-			affected = append(affected, g.keys...)
-		}
-	}
-
-	s.mu.Lock()
-	s.probeBatches++
-	s.probesSaved += uint64(len(entries)-len(order)) * uint64(len(probes))
-	if len(affected) > 0 {
-		// InvalidateKeys (not EvictKeys) so the admission policy learns which
-		// classes this update stream keeps killing.
-		s.invalidations += uint64(s.cache.InvalidateKeys(affected))
-	}
-	s.mu.Unlock()
-}
-
-// batchMergeAffects is the disjunction of the batch's mergeProbe verdicts
-// for one (region, k) shape, computed in a single pass over the union band:
-// per-probe r-dominator tallies advance together, with an early exit once
-// every probe has its k certifying dominators (the whole group survives).
-func batchMergeAffects(probes []mergeProbe, r *geom.Region, k int, ids []int, recs [][]float64, counts []int) bool {
-	for i := range counts {
-		counts[i] = 0
-	}
-	remaining := len(probes)
-	for i, m := range recs {
-		id := ids[i]
-		for j := range probes {
-			if counts[j] >= k {
-				continue
-			}
-			p := &probes[j]
-			if id == p.exclude || p.excludeSet[id] {
-				continue
-			}
-			if skyband.RDominates(m, p.rec, r) {
-				counts[j]++
-				if counts[j] >= k {
-					remaining--
-					if remaining == 0 {
-						return false
-					}
-				}
-			}
-		}
-	}
-	return true
-}
-
-// unionBand collects every shard's MaxK-depth candidate list mapped to
-// global ids — the merge layer's superset of the global MaxK-skyband.
-func (s *Engine) unionBand() ([]int, [][]float64) {
-	collected := s.collectCandidates(s.cfg.Engine.MaxK)
-	var ids []int
-	var recs [][]float64
-	s.routeMu.RLock()
-	defer s.routeMu.RUnlock()
-	for sh := range s.shards {
-		c := &collected[sh]
-		if c.err != nil {
-			continue // unreachable: MaxK is always a valid depth
-		}
-		for _, lid := range c.ids {
-			ids = append(ids, s.localToGlobal[sh][lid])
-		}
-		recs = append(recs, c.recs...)
-	}
-	return ids, recs
-}
-
-// mergedSub is the merged candidate list for one depth: the global
-// k-skyband, as parallel global-id/record slices, treated as immutable.
-type mergedSub struct {
-	ids  []int
-	recs [][]float64
-}
-
 // mergedIndex is one epoch-vector view of the cross-shard candidate lists.
 // Collecting and reducing the union of per-shard candidates is done once per
 // (depth, epoch vector) and shared by every subsequent warm query — the
@@ -642,7 +418,7 @@ type mergedIndex struct {
 	epochs   []uint64
 	epochSum uint64
 	mu       sync.Mutex
-	subs     map[int]*mergedSub
+	subs     map[int]*engine.SubIndex
 }
 
 // childEpochs snapshots every shard's current index version.
@@ -671,7 +447,7 @@ func (s *Engine) currentMerged() *mergedIndex {
 				return mi
 			}
 		}
-		fresh := &mergedIndex{epochs: s.childEpochs(), subs: map[int]*mergedSub{}}
+		fresh := &mergedIndex{epochs: s.childEpochs(), subs: map[int]*engine.SubIndex{}}
 		for _, ep := range fresh.epochs {
 			fresh.epochSum += ep
 		}
@@ -701,7 +477,7 @@ func (s *Engine) collectCandidates(k int) []childCandidates {
 		out[0] = childCandidates{ids: ids, recs: recs, epoch: ep, err: err}
 		return out
 	}
-	grp := s.pool.NewGroup(nil)
+	grp := s.Pool().NewGroup(nil)
 	for sh, ch := range s.shards {
 		sh, ch := sh, ch
 		grp.Go(func(context.Context) error {
@@ -714,31 +490,46 @@ func (s *Engine) collectCandidates(k int) []childCandidates {
 	return out
 }
 
+// union gathers every child's depth-k candidate list mapped to global ids,
+// plus the sum of the child epochs it reflects. With want set, it fails with
+// errDrift when a child's epoch differs from want's entry for that shard.
+func (s *Engine) union(k int, want []uint64) ([]int, [][]float64, uint64, error) {
+	collected := s.collectCandidates(k)
+	var ids []int
+	var recs [][]float64
+	var sum uint64
+	s.routeMu.RLock()
+	defer s.routeMu.RUnlock()
+	for sh := range s.shards {
+		c := &collected[sh]
+		if c.err != nil {
+			return nil, nil, 0, c.err
+		}
+		if want != nil && c.epoch != want[sh] {
+			return nil, nil, 0, errDrift
+		}
+		sum += c.epoch
+		for _, lid := range c.ids {
+			ids = append(ids, s.localToGlobal[sh][lid])
+		}
+		recs = append(recs, c.recs...)
+	}
+	return ids, recs, sum, nil
+}
+
 // subFor returns the merged candidate list for depth k, deriving and caching
 // it on first use. It reports false when a shard's epoch drifted from the
 // index's vector mid-collection — the caller refreshes and retries.
-func (s *Engine) subFor(mi *mergedIndex, k int) (*mergedSub, bool) {
+func (s *Engine) subFor(mi *mergedIndex, k int) (*engine.SubIndex, bool) {
 	mi.mu.Lock()
 	defer mi.mu.Unlock()
 	if sub, ok := mi.subs[k]; ok {
 		return sub, true
 	}
-	collected := s.collectCandidates(k)
-	var gids []int
-	var grecs [][]float64
-	s.routeMu.RLock()
-	for sh := range s.shards {
-		c := &collected[sh]
-		if c.err != nil || c.epoch != mi.epochs[sh] {
-			s.routeMu.RUnlock()
-			return nil, false
-		}
-		for _, lid := range c.ids {
-			gids = append(gids, s.localToGlobal[sh][lid])
-		}
-		grecs = append(grecs, c.recs...)
+	gids, grecs, _, err := s.union(k, mi.epochs)
+	if err != nil {
+		return nil, false
 	}
-	s.routeMu.RUnlock()
 	keep := skyband.ScanKSkyband(grecs, k)
 	ids := make([]int, len(keep))
 	recs := make([][]float64, len(keep))
@@ -746,310 +537,69 @@ func (s *Engine) subFor(mi *mergedIndex, k int) (*mergedSub, bool) {
 		ids[i] = gids[idx]
 		recs[i] = grecs[idx]
 	}
-	sub := &mergedSub{ids: ids, recs: recs}
+	sub := engine.NewSubIndex(recs, ids)
 	mi.subs[k] = sub
 	return sub, true
 }
 
-// Do answers one request: cache lookup, then a pooled cross-shard merge —
-// resolve the merged candidate index for the current epochs, filter it with
-// the region-aware scan, and run the exact refinement once, globally.
-func (s *Engine) Do(ctx context.Context, req engine.Request) (*engine.Result, error) {
-	if err := s.validate(req); err != nil {
-		return nil, err
-	}
-	if s.cfg.Engine.QueryTimeout > 0 {
-		if _, ok := ctx.Deadline(); !ok {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.Engine.QueryTimeout)
-			defer cancel()
-		}
-	}
-	key := engine.Fingerprint(req.Variant, req.K, req.Region, req.Opts)
-
-	// Election: answer from the cache, join an identical in-flight merge, or
-	// become the leader. Flights are keyed by the seqlock value observed at
-	// election, mirroring the single-partition engine's epoch-keyed flights:
-	// a query arriving after an acked ApplyBatch (seq advanced by 2) can
-	// never join a leader elected before that batch, so sharing preserves
-	// read-your-writes. Waiters who DID arrive before the update may still
-	// inherit the leader's pre-update answer — a consistent state they could
-	// equally have observed on their own; such results are never cached.
-	var fl *flight
-	var flKey string
-	derivedTried := false
-	for fl == nil {
-		s.mu.Lock()
-		if s.cache != nil {
-			if res, ok := s.cache.Get(key); ok {
-				s.hits++
-				s.queries++
-				s.mu.Unlock()
-				hit := *res
-				hit.CacheHit = true
-				return &hit, nil
-			}
-			// Derived-answer fast path, shared with the single-partition
-			// engine: an exact miss inside a cached UTK2 region is answered
-			// by cell clipping before any merge work. The source was
-			// resident under the mutex, so serving is at worst a consistent
-			// pre-update answer; caching is gated on the seqlock proving no
-			// update window overlapped the clipping.
-			if !derivedTried {
-				if src, _, ok := s.cache.FindContaining(req); ok {
-					seq0 := s.seq.Load()
-					s.mu.Unlock()
-					derivedTried = true
-					if res := engine.DeriveClipped(req, src); res != nil {
-						s.mu.Lock()
-						s.derived++
-						s.queries++
-						if seq0%2 == 0 && s.seq.Load() == seq0 {
-							adm, ev, costly := s.cache.Add(key, req, res)
-							if !adm {
-								s.admSkips++
-							}
-							if ev {
-								s.evicted++
-							}
-							if costly {
-								s.costEvicted++
-							}
-						}
-						s.mu.Unlock()
-						hit := *res
-						hit.CacheHit = true
-						return &hit, nil
-					}
-					continue // defensive: derivation failed, merge instead
-				}
-			}
-		}
-		fk := flightKey(s.seq.Load(), key)
-		if other, ok := s.inflight[fk]; ok {
-			s.mu.Unlock()
-			select {
-			case <-other.done:
-			case <-ctx.Done():
-				s.mu.Lock()
-				s.rejected++
-				s.mu.Unlock()
-				return nil, ctx.Err()
-			}
-			if errors.Is(other.err, errAborted) {
-				continue // the leader never finished; elect a new leader
-			}
-			s.mu.Lock()
-			s.shared++
-			s.queries++
-			s.mu.Unlock()
-			return other.res, other.err
-		}
-		fl = &flight{done: make(chan struct{})}
-		flKey = fk
-		s.inflight[flKey] = fl
-		s.mu.Unlock()
-	}
-
-	// Dispatch through the executor: saturation is rejected at the queue
-	// bound, a context dying while queued revokes the task, and a started
-	// merge observes its deadline through the Cancel hook inside compute.
-	var res *engine.Result
-	var err error
-	var seq0 uint64
-	runErr := s.pool.Run(ctx, func() {
-		s.mu.Lock()
-		s.active++
-		s.mu.Unlock()
-		seq0 = s.seq.Load()
-		res, err = s.compute(ctx, req)
-		s.mu.Lock()
-		s.active--
-		s.mu.Unlock()
-	})
-	if runErr != nil {
-		s.finish(flKey, fl, nil, errAborted)
-		s.mu.Lock()
-		if errors.Is(runErr, exec.ErrSaturated) {
-			s.saturated++
-			runErr = engine.ErrSaturated
-		} else {
-			s.rejected++
-		}
-		s.mu.Unlock()
-		return nil, runErr
-	}
-
-	if err != nil {
-		if errors.Is(err, core.ErrCanceled) {
-			// The leader's deadline expired mid-refinement; waiters re-elect
-			// rather than inheriting its fate.
-			s.finish(flKey, fl, nil, errAborted)
-			if cerr := ctx.Err(); cerr != nil {
-				err = cerr
-			}
-			s.mu.Lock()
-			s.rejected++
-			s.mu.Unlock()
-			return nil, err
-		}
-		s.finish(flKey, fl, nil, err)
-		return nil, err
-	}
-
-	fl.res = res
-	s.mu.Lock()
-	delete(s.inflight, flKey)
-	s.misses++
-	s.queries++
-	// Cache only results whose whole computation ran between updates: seq
-	// even and unchanged means no batch applied, probed, or published
-	// anywhere inside the window, so the result reflects the current state
-	// and cannot have missed an invalidation probe.
-	if s.cache != nil && seq0%2 == 0 && s.seq.Load() == seq0 {
-		adm, ev, costly := s.cache.Add(key, req, res)
-		if !adm {
-			s.admSkips++
-		}
-		if ev {
-			s.evicted++
-		}
-		if costly {
-			s.costEvicted++
-		}
-	}
-	s.mu.Unlock()
-	close(fl.done)
-	return res, nil
-}
-
-// finish publishes a flight outcome and wakes waiters.
-func (s *Engine) finish(key string, fl *flight, res *engine.Result, err error) {
-	fl.res, fl.err = res, err
-	s.mu.Lock()
-	delete(s.inflight, key)
-	s.mu.Unlock()
-	close(fl.done)
-}
-
-// DoBatch answers a batch of requests concurrently (bounded by the merge
-// layer's worker pool), one result or error per request, index-aligned.
-func (s *Engine) DoBatch(ctx context.Context, reqs []engine.Request) ([]*engine.Result, []error) {
-	results := make([]*engine.Result, len(reqs))
-	errs := make([]error, len(reqs))
-	var wg sync.WaitGroup
-	for i, req := range reqs {
-		wg.Add(1)
-		go func(i int, req engine.Request) {
-			defer wg.Done()
-			results[i], errs[i] = s.Do(ctx, req)
-		}(i, req)
-	}
-	wg.Wait()
-	return results, errs
-}
-
-// compute resolves the merged candidate index for the current epoch vector
-// and runs the exact refinement over it. Resolution is retried a few times
-// if updates land mid-collection (detected by per-shard epoch drift); under
-// a persistent update storm the last collected union — internally
-// consistent per shard — is used, and the seqlock keeps such a result out
-// of the cache.
-func (s *Engine) compute(ctx context.Context, req engine.Request) (*engine.Result, error) {
-	st := &core.Stats{}
-	opts := req.Opts
-	// Intra-query parallelism (Opts.Workers > 1) fans out on the merge
-	// layer's own executor, alongside query dispatch and per-child
-	// candidate collection.
-	opts.Pool = s.pool
-	done := ctx.Done()
-	opts.Cancel = func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-
-	start := time.Now()
-	var sub *mergedSub
-	var epochSum uint64
-	for attempt := 0; sub == nil && attempt < 4; attempt++ {
+// candidates resolves the merged candidate list for depth k under the
+// current epoch vector, plus the epoch sum it reflects. Resolution is retried
+// a few times if updates land mid-collection (detected by per-shard epoch
+// drift); under a persistent update storm the last collected raw union —
+// internally consistent per shard, and still a candidate superset — is used
+// uncached, and the seqlock keeps answers over it out of the result cache.
+func (s *Engine) candidates(k int) (*engine.SubIndex, uint64, error) {
+	for attempt := 0; attempt < 4; attempt++ {
 		mi := s.currentMerged()
-		if got, ok := s.subFor(mi, req.K); ok {
-			sub = got
-			epochSum = mi.epochSum
+		if sub, ok := s.subFor(mi, k); ok {
+			return sub, mi.epochSum, nil
 		}
 	}
-	if sub == nil {
-		// Update storm: collect the raw union without the merged cache.
-		collected := s.collectCandidates(req.K)
-		var gids []int
-		var grecs [][]float64
-		s.routeMu.RLock()
-		for sh := range s.shards {
-			c := &collected[sh]
-			if c.err != nil {
-				s.routeMu.RUnlock()
-				return nil, c.err
-			}
-			epochSum += c.epoch
-			for _, lid := range c.ids {
-				gids = append(gids, s.localToGlobal[sh][lid])
-			}
-			grecs = append(grecs, c.recs...)
-		}
-		s.routeMu.RUnlock()
-		sub = &mergedSub{ids: gids, recs: grecs}
+	ids, recs, sum, err := s.union(k, nil)
+	if err != nil {
+		return nil, 0, err
 	}
-	g := skyband.ScanGraph(sub.recs, sub.ids, req.Region, req.K)
-	st.FilterDuration = time.Since(start)
-
-	res := &engine.Result{Epoch: epochSum}
-	switch req.Variant {
-	case engine.UTK1:
-		out, err := core.RSAFromGraph(g, req.Region, req.K, opts, st)
-		if err != nil {
-			return nil, err
-		}
-		sort.Ints(out)
-		res.IDs = out
-	case engine.UTK2:
-		cells, err := core.JAAFromGraph(g, req.Region, req.K, opts, st)
-		if err != nil {
-			return nil, err
-		}
-		res.Cells = cells
-	default:
-		return nil, errors.New("shard: unknown variant")
-	}
-	res.Stats = *st
-	res.Cost = st.FilterDuration + st.RefineDuration
-	return res, nil
+	return engine.NewSubIndex(recs, ids), sum, nil
 }
 
-func (s *Engine) validate(req engine.Request) error {
-	if req.K <= 0 {
-		return core.ErrBadK
-	}
-	if req.K > s.cfg.Engine.MaxK {
-		return engine.ErrKTooLarge
-	}
-	if req.Region == nil {
-		return engine.ErrNilRegion
-	}
-	if req.Region.Dim() != s.dim-1 {
-		return core.ErrDimMismatch
-	}
-	return nil
+// frontBackend is the sharded engine seen as its Front's backend.
+//
+// A view pins only the update seqlock, which advances by two across every
+// applied batch: a query that starts after a batch acks elects under a fresh
+// scope and cannot adopt a pre-batch leader's answer (read-your-writes
+// across ApplyBatch). Waiters who did arrive before the update may still
+// inherit the leader's pre-update answer — a consistent state they could
+// equally have observed on their own.
+//
+// A result is cached only if the seqlock was even when pinned and is
+// unchanged now: no batch applied, probed, or published anywhere inside the
+// window, so the answer reflects the current state and cannot have missed an
+// invalidation probe.
+//
+// Refinements are never superseded: the seqlock moves on every batch,
+// band-changing or not, so aborting on it would discard work no update
+// invalidated.
+type frontBackend Engine
+
+func (b *frontBackend) Pin() engine.View { return engine.View{Scope: b.seq.Load()} }
+
+func (b *frontBackend) Candidates(_ engine.View, k int) (*engine.SubIndex, uint64, error) {
+	return (*Engine)(b).candidates(k)
+}
+
+func (b *frontBackend) Superseded(engine.View) bool { return false }
+
+func (b *frontBackend) Cacheable(v engine.View, _ *engine.Result) bool {
+	return v.Scope%2 == 0 && b.seq.Load() == v.Scope
 }
 
 // Stats aggregates the merge layer's serving counters with the summed
 // per-shard maintenance counters. Epoch, Live, SupersetSize, and ShadowSize
 // are sums across shards; Coverage is the weakest per-shard guarantee.
 func (s *Engine) Stats() engine.Stats {
-	agg := engine.Stats{MaxK: s.cfg.Engine.MaxK, Workers: s.pool.Workers(), Queued: s.pool.Queued()}
+	agg := s.Front.Stats()
+	agg.Shards = len(s.shards)
+	agg.UpdateBatches = s.batches.Load()
 	for i, ch := range s.shards {
 		st := ch.Stats()
 		agg.Epoch += st.Epoch
@@ -1082,26 +632,6 @@ func (s *Engine) Stats() engine.Stats {
 			agg.ShadowDepth = st.ShadowDepth
 		}
 	}
-	s.mu.Lock()
-	agg.Queries = s.queries
-	agg.Hits = s.hits
-	agg.Misses = s.misses
-	agg.Shared = s.shared
-	agg.DerivedHits = s.derived
-	agg.Evictions = s.evicted
-	agg.CostEvictions = s.costEvicted
-	agg.Invalidations = s.invalidations
-	agg.Rejected = s.rejected
-	agg.Saturated = s.saturated
-	agg.AdmissionSkips = s.admSkips
-	agg.ProbeBatches += s.probeBatches
-	agg.ProbesSaved += s.probesSaved
-	agg.InFlight = s.active
-	agg.UpdateBatches = s.batches
-	if s.cache != nil {
-		agg.CacheEntries = s.cache.Len()
-	}
-	s.mu.Unlock()
 	return agg
 }
 

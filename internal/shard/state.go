@@ -2,10 +2,8 @@ package shard
 
 import (
 	"errors"
-	"runtime"
 
 	"repro/internal/engine"
-	"repro/internal/exec"
 )
 
 // State is a deep, serializable snapshot of a sharded engine's mutable
@@ -35,7 +33,7 @@ type State struct {
 func (s *Engine) ExportState() *State {
 	s.updMu.Lock()
 	st := &State{
-		Dim:        s.dim,
+		Dim:        s.Dim(),
 		NextGlobal: s.nextGlobal,
 		NextShard:  s.nextShard,
 		Children:   make([]*engine.State, len(s.shards)),
@@ -49,10 +47,8 @@ func (s *Engine) ExportState() *State {
 	for sh, ch := range s.shards {
 		st.Children[sh] = ch.ExportState()
 	}
+	st.Batches = s.batches.Load()
 	s.updMu.Unlock()
-	s.mu.Lock()
-	st.Batches = s.batches
-	s.mu.Unlock()
 	return st
 }
 
@@ -80,22 +76,15 @@ func Restore(st *State, cfg Config) (*Engine, error) {
 	}
 	s := &Engine{
 		cfg:           cfg,
-		dim:           st.Dim,
 		shards:        make([]*engine.Engine, cfg.Shards),
 		owner:         make(map[int]place),
 		localToGlobal: make([][]int, cfg.Shards),
 		nextGlobal:    st.NextGlobal,
 		nextShard:     st.NextShard,
-		inflight:      make(map[string]*flight),
-		batches:       st.Batches,
 	}
-	childCfg := cfg.Engine
-	childCfg.CacheEntries = 0
-	childCfg.Workers = 1
-	childCfg.MaxQueued = 0
-	childCfg.QueryTimeout = 0
+	s.batches.Store(st.Batches)
 	for sh, cst := range st.Children {
-		child, err := engine.Restore(cst, childCfg)
+		child, err := engine.Restore(cst, childConfig(cfg.Engine))
 		if err != nil {
 			return nil, err
 		}
@@ -119,16 +108,9 @@ func Restore(st *State, cfg Config) (*Engine, error) {
 		s.localToGlobal[sh] = l2g
 		s.shards[sh] = child
 	}
-	workers := cfg.Engine.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	s.pool = exec.NewPool(workers, cfg.Engine.MaxQueued)
-	if cfg.Engine.CacheEntries > 0 {
-		s.cache = engine.NewResultCache(cfg.Engine.CacheEntries)
-	}
+	// MaxK, like the shard count, defaults to the state's (engine.Restore
+	// rejects a mismatch).
+	s.cfg.Engine.MaxK = s.shards[0].MaxK()
+	s.Front = engine.NewFront(s.cfg.Engine, st.Dim, (*frontBackend)(s))
 	return s, nil
 }
-
-// Dim returns the data dimensionality.
-func (s *Engine) Dim() int { return s.dim }
